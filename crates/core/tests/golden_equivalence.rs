@@ -121,3 +121,47 @@ fn run_many_is_thread_count_invariant() {
         .collect();
     assert_eq!(single, parallel);
 }
+
+/// Set-up itself, compared below the record level: every workload's bulk
+/// pre-fault (implicit leaf nodes included) leaves the same address space
+/// as the reference pipeline's page-by-page `touch_uncached` loop — the
+/// same walk path for every page of every segment, the same stats, the
+/// same physical high-water mark.
+#[test]
+fn bulk_setup_matches_per_page_setup_for_every_workload() {
+    let sweep = SweepConfig::test();
+    let footprint = *sweep.footprints().last().expect("sweep has points");
+    for workload in WorkloadId::all() {
+        for page_size in PageSize::ALL {
+            let spec = sweep.spec(workload, footprint);
+            let space = |reference: bool| {
+                let mut model = spec.workload.build_model(spec.nominal_footprint, spec.seed);
+                let mut space = atscale_vm::AddressSpace::new(BackingPolicy::uniform(page_size));
+                space.set_reference_mode(reference);
+                model
+                    .setup(&mut space)
+                    .expect("setup fits the simulated heap");
+                space
+            };
+            let (bulk, per_page) = (space(false), space(true));
+            assert!(
+                page_size != PageSize::Size4K || bulk.table().implicit_leaves() > 0,
+                "{workload} at 4K pre-faulted no whole leaf node"
+            );
+            assert_eq!(bulk.stats(), per_page.stats(), "{workload} {page_size}");
+            assert_eq!(
+                bulk.frames().high_water_mark(),
+                per_page.frames().high_water_mark(),
+                "{workload} {page_size}"
+            );
+            for seg in per_page.segments() {
+                let mut va = seg.base();
+                while va < seg.end() {
+                    let path = per_page.walk(va).expect("set-up maps every page");
+                    assert_eq!(bulk.walk(va), Some(path), "{workload} {page_size} {va}");
+                    va = va.page_base(path.page_size).add(path.page_size.bytes());
+                }
+            }
+        }
+    }
+}

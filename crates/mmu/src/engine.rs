@@ -131,7 +131,8 @@ impl<A: TranslationArchitecture> ArchMachine<A> {
     /// Switches the machine onto the force-slow reference pipeline: every
     /// access consults the page table (bypassing the translation memo) and
     /// ignores the frame payloads cached in the TLB arrays, exactly as the
-    /// engine behaved before the hot-path restructuring. The golden
+    /// engine behaved before the hot-path restructuring, and set-up faults
+    /// page by page (see [`AddressSpace::set_reference_mode`]). The golden
     /// equivalence test runs every workload through both pipelines and
     /// asserts byte-identical `RunRecord`s; keep this path semantically
     /// frozen.
@@ -143,6 +144,7 @@ impl<A: TranslationArchitecture> ArchMachine<A> {
             A::KIND
         );
         self.reference_mode = on;
+        self.space.set_reference_mode(on);
     }
 
     /// Sets the measurement window: `warmup` retired instructions are

@@ -58,6 +58,14 @@ impl FrameAllocator {
         self.alloc(size.bytes(), size.bytes())
     }
 
+    /// Allocates `count` naturally-aligned pages of `size` back to back and
+    /// returns the first: the same frames, and the same allocator state
+    /// afterwards, as `count` calls of [`alloc_page`](Self::alloc_page).
+    pub(crate) fn alloc_pages(&mut self, size: PageSize, count: u64) -> PhysAddr {
+        self.data_bytes += size.bytes() * count;
+        self.alloc(size.bytes() * count, size.bytes())
+    }
+
     /// Total bytes handed out to page-table nodes.
     pub fn table_node_bytes(&self) -> u64 {
         self.table_node_bytes

@@ -3,7 +3,7 @@
 use crate::layout::HeapLayout;
 use crate::{
     BackingPolicy, CheckInvariants, FrameAllocator, PageSize, PageTable, PageTableStats, PhysAddr,
-    Segment, SegmentId, VirtAddr, VmError, WalkPath,
+    ProbeResult, Segment, SegmentId, VirtAddr, VmError, WalkPath,
 };
 
 /// A successful virtual-to-physical translation.
@@ -106,6 +106,10 @@ pub struct AddressSpace {
     /// so runs stay deterministic, and the memo never affects results either
     /// way — only how they are computed.
     memo_enabled: bool,
+    /// Force-slow reference mode: [`fault_range`](Self::fault_range) faults
+    /// page by page through [`touch_uncached`](Self::touch_uncached)
+    /// instead of in bulk.
+    reference_mode: bool,
 }
 
 /// Translation-memo slots. Power of two so the slot index is a mask; sized
@@ -138,7 +142,17 @@ impl AddressSpace {
             memo_probes: 0,
             memo_hits: 0,
             memo_enabled: true,
+            reference_mode: false,
         }
+    }
+
+    /// Switches [`fault_range`](Self::fault_range) onto the per-page
+    /// reference loop (a [`touch_uncached`](Self::touch_uncached) per
+    /// page). Both produce the same frames, page-table nodes, walk paths
+    /// and [`SpaceStats`]; the simulator's force-slow reference pipeline
+    /// turns this on so the golden tests can hold the bulk path to it.
+    pub fn set_reference_mode(&mut self, on: bool) {
+        self.reference_mode = on;
     }
 
     /// The policy this space was created with.
@@ -266,6 +280,78 @@ impl AddressSpace {
         })
     }
 
+    /// Faults in every page that overlaps `[start, start + len)` (the
+    /// set-up phase's pre-fault), in ascending address order, skipping pages
+    /// already mapped.
+    ///
+    /// The result — frames, page-table node addresses, walk paths, fault
+    /// counts — is exactly that of touching one address in each page in
+    /// turn, but a 4 KiB leaf node the range covers whole costs one
+    /// `PageTable::map_full_leaf` instead of 512 faults. The translation
+    /// memo is neither consulted nor filled.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VmError::Unmapped`] for the first address of the range that
+    /// lies outside the segment containing `start`, after faulting in every
+    /// page before it — as the per-page loop would.
+    pub fn fault_range(&mut self, start: VirtAddr, len: u64) -> Result<(), VmError> {
+        let end = start.as_u64().saturating_add(len);
+        let mut va = start;
+        if self.reference_mode {
+            while va.as_u64() < end {
+                let size = self.touch_uncached(va)?.page_size;
+                va = va.page_base(size).add(size.bytes());
+            }
+            return Ok(());
+        }
+        if len == 0 {
+            return Ok(());
+        }
+        let seg = self
+            .segment_containing(start)
+            .ok_or(VmError::Unmapped(start))?
+            .clone();
+        let stop = end.min(seg.end().as_u64());
+        const LEAF_SPAN: u64 = PageSize::Size2M.bytes();
+        while va.as_u64() < stop {
+            let fetched = match self.table.probe_walk(va) {
+                ProbeResult::Mapped(path) => {
+                    va = va.page_base(path.page_size).add(path.page_size.bytes());
+                    continue;
+                }
+                ProbeResult::NotPresent { fetched } => fetched,
+            };
+            let resolved = self.policy.resolve(&seg, va);
+            // A 2 MiB-aligned range resolves the same size at every page (a
+            // larger page either fits around all of them or around none),
+            // and a hole above level 1 means its PT node does not exist yet.
+            let faults = if resolved.size == PageSize::Size4K
+                && va.is_aligned(LEAF_SPAN)
+                && stop - va.as_u64() >= LEAF_SPAN
+                && fetched.steps().last().is_some_and(|hole| hole.level > 1)
+            {
+                self.table.map_full_leaf(va, &mut self.frames);
+                va = va.add(LEAF_SPAN);
+                LEAF_SPAN / PageSize::Size4K.bytes()
+            } else {
+                let frame = self.frames.alloc_page(resolved.size);
+                let base = va.page_base(resolved.size);
+                self.table.map(base, resolved.size, frame, &mut self.frames);
+                va = base.add(resolved.size.bytes());
+                1
+            };
+            self.minor_faults += faults;
+            if resolved.fell_back {
+                self.fallback_faults += faults;
+            }
+        }
+        if stop < end {
+            return Err(VmError::Unmapped(VirtAddr::new(stop)));
+        }
+        Ok(())
+    }
+
     /// Translates `va` if it is mapped. Does not fault pages in.
     pub fn translate(&self, va: VirtAddr) -> Option<Translation> {
         self.table.walk(va).map(|path| Translation {
@@ -282,7 +368,7 @@ impl AddressSpace {
     /// Hardware-faithful walk attempt: returns either the full path or the
     /// prefix fetched before a non-present entry. Does not fault pages in —
     /// this is what a *speculative* walk sees.
-    pub fn probe_walk(&self, va: VirtAddr) -> crate::ProbeResult {
+    pub fn probe_walk(&self, va: VirtAddr) -> ProbeResult {
         self.table.probe_walk(va)
     }
 
@@ -293,6 +379,16 @@ impl AddressSpace {
         idx.checked_sub(1)
             .map(|i| &self.segments[i])
             .filter(|s| s.contains(va))
+    }
+
+    /// The page table (read-only: occupancy and node-storage counts).
+    pub fn table(&self) -> &PageTable {
+        &self.table
+    }
+
+    /// The simulated physical-memory allocator (read-only).
+    pub fn frames(&self) -> &FrameAllocator {
+        &self.frames
     }
 
     /// All allocated segments, in allocation order.

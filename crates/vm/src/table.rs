@@ -127,6 +127,13 @@ impl PageTableStats {
 /// no per-node pointer chase, no per-node boxed array — which matters
 /// because the walker runs on every TLB miss of every simulated access.
 ///
+/// A 4 KiB leaf (PT) node whose 512 pages were all mapped by one
+/// `map_full_leaf` call is not stored in the arena at all: its PD entry
+/// points at an `ImplicitLeaf` descriptor from which every entry address
+/// and frame follows in closed form. Walks report the same steps and
+/// frames either way; only host memory and set-up time differ (DESIGN.md
+/// §19).
+///
 /// # Example
 ///
 /// ```
@@ -147,6 +154,9 @@ pub struct PageTable {
     entries: Vec<u64>,
     /// Simulated physical base address of each node's 4 KiB frame.
     node_paddrs: Vec<u64>,
+    /// Fully mapped PT nodes stored in closed form; a PD entry with the
+    /// [`IMPLICIT`] bit carries an index into this vector.
+    implicit: Vec<ImplicitLeaf>,
     stats: PageTableStats,
     /// Virtual address of the most recent `map`, anchoring the chain memo.
     chain_va: u64,
@@ -159,8 +169,48 @@ pub struct PageTable {
     /// Demand faulting touches pages in address order, so consecutive maps
     /// usually share everything down to the PT node.
     chain_nodes: [usize; PT_LEVELS as usize],
-    /// Deepest level for which `chain_nodes` is valid; 0 = no map yet.
+    /// Deepest level for which `chain_nodes` is valid; 0 = no map yet. It
+    /// stops at 2 (the PD node) after a [`map_full_leaf`](Self::map_full_leaf),
+    /// whose PT node has no arena index.
     chain_depth: u8,
+}
+
+/// Software-available PD-entry bit (ignored by x86-64 hardware): the
+/// entry's payload indexes `PageTable::implicit`, not the node arena.
+const IMPLICIT: u64 = 1 << 9;
+
+/// A fully mapped 4 KiB leaf (PT) node in closed form.
+///
+/// [`PageTable::map_full_leaf`] reproduces 512 ascending demand faults, each
+/// allocating its data frame before any node it creates: page 0's frame,
+/// then the new table nodes top-down (the PT node last), then pages
+/// 1–511 back to back. So page 0 sits at `first_frame`, the node at
+/// `first_frame + nodes_after * 4 KiB`, and page `i > 0` at
+/// `paddr + i * 4 KiB`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ImplicitLeaf {
+    /// Simulated physical base of the node's own 4 KiB frame.
+    paddr: u64,
+    /// Data frame of the node's page 0.
+    first_frame: u64,
+    /// Table nodes allocated after `first_frame` (1–3: the PT node plus any
+    /// PD and PDPT nodes its first fault created).
+    nodes_after: u64,
+    /// Arena position (`node * ENTRIES + index`) of the PD entry pointing
+    /// here, so a materialised or moved descriptor can rewrite it.
+    parent_slot: usize,
+}
+
+impl ImplicitLeaf {
+    /// Data frame of page `idx` (0–511).
+    #[inline]
+    fn frame(&self, idx: usize) -> u64 {
+        if idx == 0 {
+            self.first_frame
+        } else {
+            self.paddr + idx as u64 * 4096
+        }
+    }
 }
 
 impl PageTable {
@@ -172,6 +222,7 @@ impl PageTable {
         PageTable {
             entries: vec![0u64; ENTRIES],
             node_paddrs: vec![root_paddr.as_u64()],
+            implicit: Vec::new(),
             stats,
             chain_va: 0,
             chain_nodes: [0; PT_LEVELS as usize],
@@ -225,6 +276,104 @@ impl PageTable {
             "frame {frame_base} not aligned to {size}"
         );
         let leaf_level = size.leaf_level();
+        let created = self.descend(va, leaf_level, frames);
+        let node_idx = self.chain_nodes[usize::from(leaf_level) - 1];
+        let slot = &mut self.entries[node_idx * ENTRIES + va.pt_index(leaf_level)];
+        assert_eq!(*slot & PRESENT, 0, "page at {va} ({size}) already mapped");
+        let ps_bit = if leaf_level > 1 { PS } else { 0 };
+        *slot = PRESENT | ps_bit | ((frame_base.as_u64() >> PAYLOAD_SHIFT) << PAYLOAD_SHIFT);
+        self.stats.pages_by_size[match size {
+            PageSize::Size4K => 0,
+            PageSize::Size2M => 1,
+            PageSize::Size1G => 2,
+        }] += 1;
+        self.chain_va = va.as_u64();
+        self.chain_depth = leaf_level;
+        let mut steps = [WalkStep {
+            level: 0,
+            entry_paddr: PhysAddr::new(0),
+        }; PT_LEVELS as usize];
+        let mut n = 0usize;
+        for level in (leaf_level..=PT_LEVELS).rev() {
+            steps[n] = WalkStep {
+                level,
+                entry_paddr: self.entry_paddr(self.chain_nodes[usize::from(level) - 1], va, level),
+            };
+            n += 1;
+        }
+        (
+            created,
+            WalkPath {
+                steps,
+                len: n as u8,
+                page_size: size,
+                frame_base,
+            },
+        )
+    }
+
+    /// Maps all 512 4 KiB pages under the PT node covering the 2 MiB-aligned
+    /// `va`, allocating frames exactly as 512 ascending demand faults would
+    /// (each fault's data frame first, then the nodes it creates), and
+    /// stores the node as an `ImplicitLeaf` descriptor instead of 512 arena
+    /// entries.
+    ///
+    /// Returns the number of page-table nodes created, the PT node included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `va` is not 2 MiB-aligned or if its PD entry is already
+    /// present (some page of the range, or a larger page over it, is
+    /// mapped).
+    pub(crate) fn map_full_leaf(&mut self, va: VirtAddr, frames: &mut FrameAllocator) -> u8 {
+        assert!(
+            va.is_aligned(PageSize::Size2M.bytes()),
+            "a full leaf node starts 2 MiB-aligned, not at {va}"
+        );
+        let first_frame = frames.alloc_page(PageSize::Size4K).as_u64();
+        let created = self.descend(va, 2, frames);
+        let parent_slot = self.chain_nodes[1] * ENTRIES + va.pt_index(2);
+        assert_eq!(
+            self.entries[parent_slot] & PRESENT,
+            0,
+            "leaf node at {va} already present"
+        );
+        let paddr = frames.alloc_table_node().as_u64();
+        let nodes_after = u64::from(created) + 1;
+        let rest = frames.alloc_pages(PageSize::Size4K, ENTRIES as u64 - 1);
+        debug_assert_eq!(paddr, first_frame + nodes_after * 4096);
+        debug_assert_eq!(rest.as_u64(), paddr + 4096);
+        self.entries[parent_slot] =
+            PRESENT | IMPLICIT | ((self.implicit.len() as u64) << PAYLOAD_SHIFT);
+        self.implicit.push(ImplicitLeaf {
+            paddr,
+            first_frame,
+            nodes_after,
+            parent_slot,
+        });
+        self.stats.nodes_by_level[0] += 1;
+        self.stats.pages_by_size[0] += ENTRIES as u64;
+        self.chain_va = va.as_u64() + (ENTRIES as u64 - 1) * 4096;
+        self.chain_depth = 2;
+        created + 1
+    }
+
+    /// Physical address of the level-`level` entry for `va` in arena node
+    /// `node`.
+    #[inline]
+    fn entry_paddr(&self, node: usize, va: VirtAddr, level: u8) -> PhysAddr {
+        PhysAddr::new(self.node_paddrs[node]).add(va.pt_index(level) as u64 * PTE_SIZE)
+    }
+
+    /// Descends from the root (or from the deepest chain-memo node whose
+    /// position `va` shares) to the node indexed at `leaf_level` on `va`'s
+    /// path, creating absent interior nodes top-down. On return
+    /// `chain_nodes[l - 1]` holds the path's node for every level
+    /// `l >= leaf_level`. An implicit leaf node on the way down is
+    /// materialised first, so writes only ever reach the arena.
+    ///
+    /// Returns the number of nodes created.
+    fn descend(&mut self, va: VirtAddr, leaf_level: u8, frames: &mut FrameAllocator) -> u8 {
         let mut created = 0u8;
         let mut node_idx = 0usize;
         let mut level = PT_LEVELS;
@@ -243,78 +392,51 @@ impl PageTable {
                 l += 1;
             }
         }
-        let mut steps = [WalkStep {
-            level: 0,
-            entry_paddr: PhysAddr::new(0),
-        }; PT_LEVELS as usize];
-        let mut n = 0usize;
-        // Steps for levels the chain let us skip: the nodes are known, only
-        // the traversal was avoided.
-        let mut skipped = PT_LEVELS;
-        while skipped > level {
-            let node = self.chain_nodes[usize::from(skipped) - 1];
-            let idx = va.pt_index(skipped);
-            steps[n] = WalkStep {
-                level: skipped,
-                entry_paddr: PhysAddr::new(self.node_paddrs[node]).add(idx as u64 * PTE_SIZE),
-            };
-            n += 1;
-            skipped -= 1;
-        }
         while level > leaf_level {
-            let idx = va.pt_index(level);
-            steps[n] = WalkStep {
-                level,
-                entry_paddr: PhysAddr::new(self.node_paddrs[node_idx]).add(idx as u64 * PTE_SIZE),
-            };
-            n += 1;
             self.chain_nodes[usize::from(level) - 1] = node_idx;
-            let entry = self.entries[node_idx * ENTRIES + idx];
-            if entry & PRESENT == 0 {
+            let slot = node_idx * ENTRIES + va.pt_index(level);
+            let entry = self.entries[slot];
+            node_idx = if entry & PRESENT == 0 {
                 let child_paddr = frames.alloc_table_node();
-                let child_arena = self.push_node(child_paddr);
+                let child = self.push_node(child_paddr);
                 self.stats.nodes_by_level[level as usize - 2] += 1;
-                self.entries[node_idx * ENTRIES + idx] =
-                    PRESENT | ((child_arena as u64) << PAYLOAD_SHIFT);
-                node_idx = child_arena;
+                self.entries[slot] = PRESENT | ((child as u64) << PAYLOAD_SHIFT);
                 created += 1;
+                child
+            } else if entry & IMPLICIT != 0 {
+                self.materialise((entry >> PAYLOAD_SHIFT) as usize)
             } else {
                 assert_eq!(
                     entry & PS,
                     0,
-                    "cannot map {size} page at {va}: a larger page already covers it"
+                    "cannot map a level-{leaf_level} page at {va}: a larger page already covers it"
                 );
-                node_idx = (entry >> PAYLOAD_SHIFT) as usize;
-            }
+                (entry >> PAYLOAD_SHIFT) as usize
+            };
             level -= 1;
         }
-        let idx = va.pt_index(leaf_level);
-        steps[n] = WalkStep {
-            level: leaf_level,
-            entry_paddr: PhysAddr::new(self.node_paddrs[node_idx]).add(idx as u64 * PTE_SIZE),
-        };
-        n += 1;
         self.chain_nodes[usize::from(leaf_level) - 1] = node_idx;
-        let slot = &mut self.entries[node_idx * ENTRIES + idx];
-        assert_eq!(*slot & PRESENT, 0, "page at {va} ({size}) already mapped");
-        let ps_bit = if leaf_level > 1 { PS } else { 0 };
-        *slot = PRESENT | ps_bit | ((frame_base.as_u64() >> PAYLOAD_SHIFT) << PAYLOAD_SHIFT);
-        self.stats.pages_by_size[match size {
-            PageSize::Size4K => 0,
-            PageSize::Size2M => 1,
-            PageSize::Size1G => 2,
-        }] += 1;
-        self.chain_va = va.as_u64();
-        self.chain_depth = leaf_level;
-        (
-            created,
-            WalkPath {
-                steps,
-                len: n as u8,
-                page_size: size,
-                frame_base,
-            },
-        )
+        created
+    }
+
+    /// Converts implicit leaf `d` into an ordinary arena node with the same
+    /// physical address and entries, and returns its arena index. The last
+    /// descriptor moves into slot `d`, and its PD entry is rewritten to
+    /// match.
+    fn materialise(&mut self, d: usize) -> usize {
+        let leaf = self.implicit.swap_remove(d);
+        let node = self.push_node(PhysAddr::new(leaf.paddr));
+        for (i, entry) in self.entries[node * ENTRIES..(node + 1) * ENTRIES]
+            .iter_mut()
+            .enumerate()
+        {
+            *entry = PRESENT | leaf.frame(i);
+        }
+        self.entries[leaf.parent_slot] = PRESENT | ((node as u64) << PAYLOAD_SHIFT);
+        if let Some(moved) = self.implicit.get(d) {
+            self.entries[moved.parent_slot] = PRESENT | IMPLICIT | ((d as u64) << PAYLOAD_SHIFT);
+        }
+        node
     }
 
     /// Walks the tree for `va` like hardware would, reporting either the
@@ -379,8 +501,22 @@ impl PageTable {
                     },
                 };
             }
-            let is_leaf = level == 1 || entry & PS != 0;
+            let is_leaf = level == 1 || entry & (PS | IMPLICIT) != 0;
             if is_leaf {
+                if entry & IMPLICIT != 0 {
+                    let leaf = &self.implicit[(entry >> PAYLOAD_SHIFT) as usize];
+                    let idx = va.pt_index(1);
+                    steps[n] = WalkStep {
+                        level: 1,
+                        entry_paddr: PhysAddr::new(leaf.paddr + idx as u64 * PTE_SIZE),
+                    };
+                    return ProbeResult::Mapped(WalkPath {
+                        steps,
+                        len: n as u8 + 1,
+                        page_size: PageSize::Size4K,
+                        frame_base: PhysAddr::new(leaf.frame(idx)),
+                    });
+                }
                 let page_size = match level {
                     1 => PageSize::Size4K,
                     2 => PageSize::Size2M,
@@ -416,16 +552,51 @@ impl PageTable {
     pub fn stats(&self) -> PageTableStats {
         self.stats
     }
+
+    /// Nodes stored as 512-entry arena slices (interior nodes and partly
+    /// mapped leaves). With [`implicit_leaves`](Self::implicit_leaves) this
+    /// sums to `stats().total_nodes()`.
+    pub fn explicit_nodes(&self) -> usize {
+        self.node_paddrs.len()
+    }
+
+    /// Fully mapped 4 KiB leaf nodes stored in closed form.
+    pub fn implicit_leaves(&self) -> usize {
+        self.implicit.len()
+    }
 }
 
 impl crate::CheckInvariants for PageTable {
     fn check_invariants(&self) {
         crate::invariant!(
-            self.stats.total_nodes() == self.node_paddrs.len() as u64,
-            "page-table stats claim {} nodes but the arena holds {}",
+            self.stats.total_nodes() == (self.node_paddrs.len() + self.implicit.len()) as u64,
+            "page-table stats claim {} nodes but the arena holds {} and {} leaves are implicit",
             self.stats.total_nodes(),
-            self.node_paddrs.len()
+            self.node_paddrs.len(),
+            self.implicit.len()
         );
+        crate::invariant!(
+            self.stats.nodes_by_level[0] >= self.implicit.len() as u64
+                && self.stats.pages_by_size[0] >= self.implicit.len() as u64 * ENTRIES as u64,
+            "{} implicit leaves exceed the {} PT nodes / {} 4K pages the stats claim",
+            self.implicit.len(),
+            self.stats.nodes_by_level[0],
+            self.stats.pages_by_size[0]
+        );
+        for (d, leaf) in self.implicit.iter().enumerate() {
+            crate::invariant!(
+                leaf.parent_slot < self.entries.len()
+                    && self.entries[leaf.parent_slot]
+                        == PRESENT | IMPLICIT | ((d as u64) << PAYLOAD_SHIFT),
+                "implicit leaf {d} is not referenced by its PD entry (slot {})",
+                leaf.parent_slot
+            );
+            crate::invariant!(
+                (1..PT_LEVELS as u64).contains(&leaf.nodes_after)
+                    && leaf.paddr == leaf.first_frame + leaf.nodes_after * 4096,
+                "implicit leaf {d} breaks the frame layout: {leaf:?}"
+            );
+        }
         crate::invariant!(
             self.entries.len() == self.node_paddrs.len() * ENTRIES,
             "entry arena ({}) out of step with node count ({})",
@@ -438,20 +609,26 @@ impl crate::CheckInvariants for PageTable {
             self.stats.nodes_by_level[PT_LEVELS as usize - 1]
         );
         if self.chain_depth > 0 {
-            // The chain memo must agree with a fresh walk of the anchor.
+            // The chain memo must agree with a fresh walk of the anchor: it
+            // reaches the anchor's leaf level (or stops at its implicit
+            // leaf's PD node) and names the nodes that walk passes through.
             let path = self
                 .walk(VirtAddr::new(self.chain_va))
                 .expect("chain memo anchors a mapped page");
             crate::invariant!(
-                path.leaf().level == self.chain_depth,
+                path.leaf().level == self.chain_depth
+                    || (path.leaf().level == 1 && self.chain_depth == 2),
                 "chain depth {} disagrees with the anchor's leaf level {}",
                 self.chain_depth,
                 path.leaf().level
             );
             for l in self.chain_depth..=PT_LEVELS {
+                let node = self.chain_nodes[usize::from(l) - 1];
+                let step = path.steps()[usize::from(PT_LEVELS - l)];
                 crate::invariant!(
-                    self.chain_nodes[usize::from(l) - 1] < self.node_paddrs.len(),
-                    "chain node at level {l} points outside the arena"
+                    node < self.node_paddrs.len()
+                        && self.node_paddrs[node] == step.entry_paddr.as_u64() & !0xfff,
+                    "chain node at level {l} is not the anchor's node"
                 );
             }
         }
@@ -462,6 +639,7 @@ impl std::fmt::Debug for PageTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageTable")
             .field("nodes", &self.node_paddrs.len())
+            .field("implicit_leaves", &self.implicit.len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -672,6 +850,79 @@ mod tests {
             assert_eq!(Some(path), table.walk(inner));
         }
         table.check_invariants();
+    }
+
+    /// Every 4 KiB page of the 2 MiB range at `va`, page by page.
+    fn map_leaf_per_page(table: &mut PageTable, frames: &mut FrameAllocator, va: u64) {
+        for i in 0..ENTRIES as u64 {
+            let f = frames.alloc_page(PageSize::Size4K);
+            table.map(VirtAddr::new(va + i * 4096), PageSize::Size4K, f, frames);
+        }
+    }
+
+    #[test]
+    fn full_leaf_matches_per_page_maps() {
+        use crate::CheckInvariants;
+        let (mut frames_a, mut bulk) = setup();
+        let (mut frames_b, mut per_page) = setup();
+        // A fresh PDPT + PD + PT (3 nodes after page 0), then the next leaf
+        // under the same PD (1 node after), then one across a 1 GiB line.
+        for va in [0x4000_0000u64, 0x4020_0000, 0x8000_0000] {
+            bulk.map_full_leaf(VirtAddr::new(va), &mut frames_a);
+            map_leaf_per_page(&mut per_page, &mut frames_b, va);
+        }
+        assert_eq!(bulk.implicit_leaves(), 3);
+        assert_eq!(per_page.implicit_leaves(), 0);
+        for va in [0x4000_0000u64, 0x4020_0000, 0x8000_0000] {
+            for i in 0..ENTRIES as u64 {
+                let addr = VirtAddr::new(va + i * 4096 + 8 * i);
+                assert_eq!(bulk.probe_walk(addr), per_page.probe_walk(addr), "{addr}");
+            }
+        }
+        let hole = VirtAddr::new(0x4040_0000);
+        assert_eq!(bulk.probe_walk(hole), per_page.probe_walk(hole));
+        assert_eq!(bulk.stats(), per_page.stats());
+        assert_eq!(frames_a.high_water_mark(), frames_b.high_water_mark());
+        assert_eq!(frames_a.table_node_bytes(), frames_b.table_node_bytes());
+        bulk.check_invariants();
+    }
+
+    #[test]
+    fn materialise_keeps_walks_and_reindexes_the_moved_descriptor() {
+        use crate::CheckInvariants;
+        let (mut frames, mut table) = setup();
+        let leaves = [0x4000_0000u64, 0x4020_0000, 0x4040_0000];
+        for va in leaves {
+            table.map_full_leaf(VirtAddr::new(va), &mut frames);
+        }
+        let probe = |t: &PageTable| -> Vec<ProbeResult> {
+            leaves
+                .iter()
+                .flat_map(|&va| (0..ENTRIES as u64).map(move |i| va + i * 4096))
+                .map(|va| t.probe_walk(VirtAddr::new(va)))
+                .collect()
+        };
+        let before = probe(&table);
+        let stats = table.stats();
+        table.materialise(0);
+        assert_eq!(table.implicit_leaves(), 2);
+        assert_eq!(
+            table.explicit_nodes(),
+            3 + 1,
+            "root, PDPT, PD and the materialised leaf"
+        );
+        assert_eq!(probe(&table), before);
+        assert_eq!(table.stats(), stats);
+        table.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "already mapped")]
+    fn mapping_into_an_implicit_leaf_materialises_it_then_refuses() {
+        let (mut frames, mut table) = setup();
+        table.map_full_leaf(VirtAddr::new(0x4000_0000), &mut frames);
+        let f = frames.alloc_page(PageSize::Size4K);
+        table.map(VirtAddr::new(0x4000_3000), PageSize::Size4K, f, &mut frames);
     }
 
     #[test]

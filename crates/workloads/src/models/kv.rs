@@ -174,13 +174,21 @@ impl KvModel {
             sink.load(item2);
             sink.instructions(6);
         }
+        // The value's lines, sequential within the item. An item drawn
+        // within 960 bytes of the slab's end has its tail clamped to the
+        // slab's last slot rather than run into the guard page.
+        let value = {
+            let items = &self.layout.as_ref().expect("setup ran").items;
+            std::array::from_fn::<_, { VALUE_LOADS as usize }, _>(|k| {
+                items.past(item, 64 + k as u64 * 128)
+            })
+        };
         if hit {
-            // Value access: sequential within the item.
-            for k in 0..VALUE_LOADS {
+            for va in value {
                 if is_read {
-                    sink.load(item.add(64 + k * 128));
+                    sink.load(va);
                 } else {
-                    sink.store(item.add(64 + k * 128));
+                    sink.store(va);
                 }
             }
             // LRU list maintenance.
@@ -200,8 +208,8 @@ impl KvModel {
                 sink.load(lru); // victim header
                 sink.store(lru); // unlink
                 sink.store(bucket2); // old bucket update
-                for k in 0..VALUE_LOADS {
-                    sink.store(item.add(64 + k * 128)); // write new value
+                for va in value {
+                    sink.store(va); // write new value
                 }
                 sink.store(bucket); // link into bucket
                 sink.instructions(14);

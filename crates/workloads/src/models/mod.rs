@@ -76,6 +76,13 @@ impl Region {
         self.base.add((off & !7).min(self.len.saturating_sub(8)))
     }
 
+    /// Address `delta` bytes past `va` (an address inside the region),
+    /// clamped into range like [`at`](Self::at).
+    #[inline]
+    pub(crate) fn past(&self, va: VirtAddr, delta: u64) -> VirtAddr {
+        self.at(va.as_u64() - self.base.as_u64() + delta)
+    }
+
     /// Uniformly random 8-byte slot.
     #[inline]
     pub(crate) fn random(&self, rng: &mut SmallRng) -> VirtAddr {
@@ -110,13 +117,9 @@ impl Region {
 
     /// Faults in every page of the region (setup/build phase).
     pub(crate) fn touch_all(&self, space: &mut AddressSpace) {
-        let mut off = 0;
-        while off < self.len {
-            space
-                .touch(self.base.add(off))
-                .expect("region lies inside its own segment");
-            off += 4096;
-        }
+        space
+            .fault_range(self.base, self.len)
+            .expect("region lies inside its own segment");
     }
 }
 
